@@ -1,0 +1,40 @@
+//! Order statistics over wall-clock samples.
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of `samples` by the nearest-rank rule;
+/// 0 for an empty slice.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The median of `samples`; 0 for an empty slice.
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+/// The smallest sample; +∞ for an empty slice.
+pub fn best(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank_quantiles() {
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(median(&xs), 50.0);
+        assert_eq!(quantile(&xs, 0.99), 99.0);
+        assert_eq!(quantile(&xs, 1.0), 100.0);
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(best(&[3.0, 1.0, 2.0]), 1.0);
+    }
+}
