@@ -1112,6 +1112,43 @@ mod tests {
     use neesgrid_gridsim::fault::PartitionWindow;
     use neesgrid_gridsim::{FaultPlan, LatencyModel, LinkKey, NetworkConfig};
 
+    #[test]
+    fn ctl_frames_encode_and_decode_like_the_value_tree() {
+        let manifest = CasStore::new(VirtualStore::new()).ingest(
+            "/runs/r-0001/history.json",
+            &payload(3000),
+            1024,
+            SimTime::ZERO,
+        );
+        let frames = [
+            CtlFrame::Offer {
+                transfer_id: 7,
+                manifest,
+            },
+            CtlFrame::OfferAck {
+                transfer_id: 7,
+                marker: RestartMarker {
+                    ranges: vec![(0, 1024), (2048, 3000)],
+                },
+            },
+            CtlFrame::Commit { transfer_id: 7 },
+            CtlFrame::CommitAck {
+                transfer_id: u64::MAX,
+                ok: false,
+            },
+        ];
+        for frame in frames {
+            let wire = frame.encode();
+            let tree = serde_json::to_value(&frame).unwrap().to_string();
+            assert_eq!(&wire[..], tree.as_bytes());
+            let direct = CtlFrame::decode(&wire).expect("frame decodes");
+            let via_tree: CtlFrame =
+                serde_json::from_value(serde_json::from_slice(&wire).unwrap()).unwrap();
+            assert_eq!(format!("{direct:?}"), format!("{via_tree:?}"));
+            assert_eq!(format!("{direct:?}"), format!("{frame:?}"));
+        }
+    }
+
     fn payload(n: usize) -> Bytes {
         // Mixed so chunk-aligned blocks are all distinct (see cas tests).
         Bytes::from(

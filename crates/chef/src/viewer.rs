@@ -69,11 +69,15 @@ impl DataViewer {
 
     /// Feed one sample (from NSDS) into the viewer's buffer.
     pub fn ingest(&mut self, channel: &str, t: SimTime, value: f64) {
-        let ts = self
-            .series
-            .entry(channel.to_string())
-            .or_insert_with(|| TimeSeries::new(channel, ""));
-        ts.push(t, value);
+        // Allocate the key only on a channel's first sample.
+        match self.series.get_mut(channel) {
+            Some(ts) => ts.push(t, value),
+            None => {
+                let mut ts = TimeSeries::new(channel, "");
+                ts.push(t, value);
+                self.series.insert(channel.to_string(), ts);
+            }
+        }
         self.live_edge = self.live_edge.max(t);
     }
 
@@ -200,6 +204,28 @@ mod tests {
     fn ingest_tracks_live_edge() {
         let v = viewer_with_data();
         assert_eq!(v.live_edge, SimTime::from_millis(990));
+        assert_eq!(v.channels(), vec!["disp", "force"]);
+    }
+
+    #[test]
+    fn ingest_appends_to_existing_series_in_order() {
+        let mut v = DataViewer::new();
+        let points = [(10, 1.5), (20, -2.0), (20, 0.25), (30, 4.0)];
+        for (ms, x) in points {
+            v.ingest("disp", SimTime::from_millis(ms), x);
+        }
+        v.ingest("force", SimTime::from_millis(5), 7.0);
+        let ts = &v.series["disp"];
+        assert_eq!(ts.channel, "disp");
+        assert_eq!(ts.len(), 4);
+        let got: Vec<(SimTime, f64)> = ts.samples.iter().map(|s| (s.t, s.value)).collect();
+        let want: Vec<(SimTime, f64)> = points
+            .iter()
+            .map(|&(ms, x)| (SimTime::from_millis(ms), x))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(v.series["force"].len(), 1);
+        assert_eq!(v.live_edge, SimTime::from_millis(30));
         assert_eq!(v.channels(), vec!["disp", "force"]);
     }
 

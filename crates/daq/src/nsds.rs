@@ -54,6 +54,14 @@ impl NsdsSubscription {
         self.inner.lock().buffer.pop_front()
     }
 
+    /// Pop up to `max` of the oldest buffered samples, in order, under
+    /// one lock. Drop counts are untouched: only overflow drops.
+    pub fn drain_up_to(&self, max: usize) -> Vec<NsdsSample> {
+        let mut s = self.inner.lock();
+        let n = max.min(s.buffer.len());
+        s.buffer.drain(..n).collect()
+    }
+
     /// Drain everything currently buffered.
     pub fn drain(&self) -> Vec<NsdsSample> {
         self.inner.lock().buffer.drain(..).collect()
@@ -254,6 +262,23 @@ mod tests {
         assert_eq!(sub.dropped(), 0);
         assert_eq!(got.len(), 1000);
         assert!(got.windows(2).all(|w| w[0] < w[1]), "order preserved");
+    }
+
+    #[test]
+    fn drain_up_to_pops_oldest_in_order_and_keeps_drop_counts() {
+        let nsds = NsdsServer::new();
+        let sub = nsds.subscribe("*", 5);
+        for i in 0..8 {
+            nsds.publish(sample("c", i));
+        }
+        let first: Vec<f64> = sub.drain_up_to(2).iter().map(|s| s.value).collect();
+        assert_eq!(first, vec![3.0, 4.0]);
+        assert_eq!(sub.pending(), 3);
+        let rest: Vec<f64> = sub.drain_up_to(10).iter().map(|s| s.value).collect();
+        assert_eq!(rest, vec![5.0, 6.0, 7.0]);
+        assert!(sub.drain_up_to(4).is_empty());
+        assert_eq!(sub.dropped(), 3);
+        assert_eq!(sub.delivered(), 8);
     }
 
     #[test]

@@ -55,12 +55,20 @@ impl Serialize for NodeId {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(&self.0)
     }
+
+    fn write_json(&self, w: &mut serde::json::JsonWriter) {
+        w.str(&self.0);
+    }
 }
 
 impl<'de> Deserialize<'de> for NodeId {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let s = String::deserialize(deserializer)?;
         Ok(NodeId::new(s))
+    }
+
+    fn read_json(r: &mut serde::json::JsonReader<'_>) -> Result<Self, serde::value::Error> {
+        r.str().map(NodeId::new)
     }
 }
 

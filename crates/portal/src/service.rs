@@ -663,13 +663,7 @@ impl PortalCore {
             });
         }
         let cap = max.clamp(1, POLL_CHUNK_MAX);
-        let mut samples = Vec::new();
-        while samples.len() < cap {
-            match entry.sub.poll() {
-                Some(s) => samples.push(s),
-                None => break,
-            }
-        }
+        let samples = entry.sub.drain_up_to(cap);
         let done = match &entry.run {
             Some(run) => {
                 entry.sub.pending() == 0 && self.runs.get(run).map(|r| r.finished()).unwrap_or(true)

@@ -1,13 +1,16 @@
 //! Deserialization half of the shim: trait shapes mirror real serde, with the
-//! whole input surfaced as one [`Value`] via [`Deserializer::into_value`].
+//! whole input surfaced as one [`Value`] via [`Deserializer::into_value`],
+//! plus a direct reader from JSON text ([`Deserialize::read_json`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::value::{from_value, Number, Value};
+use crate::json::{context, sort_keys_keep_last, JsonReader};
+use crate::value::{from_value, Error as ValueError, Number, Value, ValueDeserializer};
 
 /// Mirror of `serde::de::Error`.
 pub trait Error: Sized {
@@ -22,9 +25,15 @@ pub trait Deserializer<'de>: Sized {
     fn into_value(self) -> Result<Value, Self::Error>;
 }
 
-/// Mirror of `serde::Deserialize`.
+/// Mirror of `serde::Deserialize`, plus a direct JSON reader.
 pub trait Deserialize<'de>: Sized {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
+
+    /// Read `Self` from JSON text without building a value tree. The
+    /// default builds the tree; it must accept and produce the same.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        Self::deserialize(ValueDeserializer(r.value()?))
+    }
 }
 
 /// Mirror of `serde::de::DeserializeOwned`.
@@ -56,6 +65,12 @@ macro_rules! de_uint {
                     _ => type_err(stringify!($t), &v),
                 }
             }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                let n = r.number()?;
+                n.as_u64()
+                    .and_then(|u| <$t>::try_from(u).ok())
+                    .ok_or_else(|| r.error(format_args!("expected {}, got number {n:?}", stringify!($t))))
+            }
         }
     )*};
 }
@@ -74,6 +89,12 @@ macro_rules! de_int {
                     _ => type_err(stringify!($t), &v),
                 }
             }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                let n = r.number()?;
+                n.as_i64()
+                    .and_then(|i| <$t>::try_from(i).ok())
+                    .ok_or_else(|| r.error(format_args!("expected {}, got number {n:?}", stringify!($t))))
+            }
         }
     )*};
 }
@@ -90,11 +111,20 @@ impl<'de> Deserialize<'de> for f64 {
             _ => type_err("f64", &v),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        if r.take_null()? {
+            return Ok(f64::NAN);
+        }
+        r.number().map(|n| n.as_f64())
+    }
 }
 
 impl<'de> Deserialize<'de> for f32 {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         f64::deserialize(d).map(|f| f as f32)
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        f64::read_json(r).map(|f| f as f32)
     }
 }
 
@@ -102,6 +132,9 @@ impl<'de> Deserialize<'de> for bool {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let v = d.into_value()?;
         v.as_bool().map_or_else(|| type_err("bool", &v), Ok)
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        r.bool()
     }
 }
 
@@ -112,16 +145,25 @@ impl<'de> Deserialize<'de> for String {
             v => type_err("string", &v),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        r.str().map(Cow::into_owned)
+    }
+}
+
+fn single_char<E: Error>(s: &str) -> Result<char, E> {
+    let mut it = s.chars();
+    match (it.next(), it.next()) {
+        (Some(c), None) => Ok(c),
+        _ => Err(E::custom("expected single-char string")),
+    }
 }
 
 impl<'de> Deserialize<'de> for char {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(D::Error::custom("expected single-char string")),
-        }
+        single_char(&String::deserialize(d)?)
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        single_char(&r.str()?)
     }
 }
 
@@ -130,10 +172,13 @@ impl<'de> Deserialize<'de> for () {
         let _ = d.into_value()?;
         Ok(())
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        r.skip_value()
+    }
 }
 
-fn elem<T: DeserializeOwned, E: Error>(v: &Value, what: &str) -> Result<T, E> {
-    crate::value::from_value_ref(v).map_err(|e| E::custom(format!("{what}: {e}")))
+fn elem<T: DeserializeOwned, E: Error>(v: Value, what: &str) -> Result<T, E> {
+    from_value(v).map_err(|e| E::custom(format!("{what}: {e}")))
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
@@ -145,62 +190,78 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
             )),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        if r.take_null()? {
+            return Ok(None);
+        }
+        T::read_json(r).map(Some)
+    }
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         match d.into_value()? {
-            Value::Array(a) => a.iter().map(|v| elem(v, "array element")).collect(),
+            Value::Array(a) => a.into_iter().map(|v| elem(v, "array element")).collect(),
             v => type_err("array", &v),
         }
     }
-}
-
-impl<'de, T: DeserializeOwned> Deserialize<'de> for VecDeque<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Vec::<T>::deserialize(d).map(VecDeque::from)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(context(T::read_json(r), "array element")?);
+        }
+        Ok(items)
     }
 }
 
-impl<'de, T: DeserializeOwned + Ord> Deserialize<'de> for BTreeSet<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Vec::<T>::deserialize(d).map(|v| v.into_iter().collect())
-    }
+/// A collection read as the `Vec` it is written as.
+macro_rules! de_via_vec {
+    ($([$($bound:tt)*] $t:ty),* $(,)?) => {$(
+        impl<'de, $($bound)*> Deserialize<'de> for $t {
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                Vec::<T>::deserialize(d).map(|v| v.into_iter().collect())
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                Vec::<T>::read_json(r).map(|v| v.into_iter().collect())
+            }
+        }
+    )*};
+}
+de_via_vec! {
+    [T: DeserializeOwned] VecDeque<T>,
+    [T: DeserializeOwned + Ord] BTreeSet<T>,
+    [T: DeserializeOwned + Eq + Hash, H: BuildHasher + Default] HashSet<T, H>,
 }
 
-impl<'de, T: DeserializeOwned + Eq + Hash, H: BuildHasher + Default> Deserialize<'de>
-    for HashSet<T, H>
-{
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Vec::<T>::deserialize(d).map(|v| v.into_iter().collect())
-    }
+fn to_array<T, E: Error, const N: usize>(v: Vec<T>) -> Result<[T; N], E> {
+    <[T; N]>::try_from(v)
+        .map_err(|v| E::custom(format!("expected array of length {N}, got {}", v.len())))
 }
 
 impl<'de, T: DeserializeOwned, const N: usize> Deserialize<'de> for [T; N] {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = Vec::<T>::deserialize(d)?;
-        <[T; N]>::try_from(v)
-            .map_err(|v| D::Error::custom(format!("expected array of length {N}, got {}", v.len())))
+        to_array(Vec::<T>::deserialize(d)?)
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        to_array(Vec::<T>::read_json(r)?)
     }
 }
 
-impl<'de, T: DeserializeOwned> Deserialize<'de> for Box<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        T::deserialize(d).map(Box::new)
-    }
+/// A smart pointer read as what it points to.
+macro_rules! de_wrapper {
+    ($($w:ident),*) => {$(
+        impl<'de, T: DeserializeOwned> Deserialize<'de> for $w<T> {
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                T::deserialize(d).map($w::new)
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                T::read_json(r).map($w::new)
+            }
+        }
+    )*};
 }
-
-impl<'de, T: DeserializeOwned> Deserialize<'de> for Arc<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        T::deserialize(d).map(Arc::new)
-    }
-}
-
-impl<'de, T: DeserializeOwned> Deserialize<'de> for Rc<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        T::deserialize(d).map(Rc::new)
-    }
-}
+de_wrapper!(Box, Arc, Rc);
 
 /// Re-hydrate a map key from its stringified JSON-object-key form: first as
 /// a string (covers String and string-newtype keys), then as an integer.
@@ -238,29 +299,44 @@ fn de_map_pairs<K: DeserializeOwned, V: DeserializeOwned, E: Error>(
     }
 }
 
-impl<'de, K, V, H> Deserialize<'de> for HashMap<K, V, H>
-where
-    K: DeserializeOwned + Eq + Hash,
-    V: DeserializeOwned,
-    H: BuildHasher + Default,
-{
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(de_map_pairs::<K, V, D::Error>(d.into_value()?)?
-            .into_iter()
-            .collect())
+/// Read a map as the tree would: entries taken in byte order of their
+/// keys, and the last of equal keys kept.
+fn read_map_pairs<K: DeserializeOwned, V: DeserializeOwned>(
+    r: &mut JsonReader<'_>,
+) -> Result<Vec<(K, V)>, ValueError> {
+    r.begin_object()?;
+    let mut entries: Vec<(Cow<str>, Result<V, ValueError>)> = Vec::new();
+    while let Some(k) = r.next_key()? {
+        entries.push((k, r.read_or_skip()?));
     }
+    sort_keys_keep_last(&mut entries);
+    entries
+        .into_iter()
+        .map(|(k, v)| {
+            let key = key_from_string(&k)?;
+            let val = v.map_err(|e| ValueError(format!("map value for {k:?}: {e}")))?;
+            Ok((key, val))
+        })
+        .collect()
 }
 
-impl<'de, K, V> Deserialize<'de> for BTreeMap<K, V>
-where
-    K: DeserializeOwned + Ord,
-    V: DeserializeOwned,
-{
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(de_map_pairs::<K, V, D::Error>(d.into_value()?)?
-            .into_iter()
-            .collect())
-    }
+macro_rules! de_map {
+    ($([$($bound:tt)*] $t:ty),* $(,)?) => {$(
+        impl<'de, $($bound)*> Deserialize<'de> for $t {
+            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+                Ok(de_map_pairs::<K, V, D::Error>(d.into_value()?)?
+                    .into_iter()
+                    .collect())
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                Ok(read_map_pairs::<K, V>(r)?.into_iter().collect())
+            }
+        }
+    )*};
+}
+de_map! {
+    [K: DeserializeOwned + Eq + Hash, V: DeserializeOwned, H: BuildHasher + Default] HashMap<K, V, H>,
+    [K: DeserializeOwned + Ord, V: DeserializeOwned] BTreeMap<K, V>,
 }
 
 macro_rules! de_tuple {
@@ -269,10 +345,17 @@ macro_rules! de_tuple {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
                 match d.into_value()? {
                     Value::Array(a) if a.len() == $len => {
-                        Ok(($(elem::<$t, D::Error>(&a[$n], "tuple element")?,)+))
+                        let mut a = a.into_iter();
+                        Ok(($(elem::<$t, D::Error>(a.next().unwrap_or_default(), "tuple element")?,)+))
                     }
                     v => type_err(concat!("array of length ", $len), &v),
                 }
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+                r.begin_array()?;
+                let t = ($(r.element::<$t>("tuple element")?,)+);
+                r.end_array($len)?;
+                Ok(t)
             }
         }
     )*};
@@ -305,10 +388,16 @@ impl<'de> Deserialize<'de> for Number {
             v => type_err("number", &v),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, ValueError> {
+        r.number()
+    }
 }
 
 impl crate::ser::Serialize for Number {
     fn serialize<S: crate::ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(Value::Number(*self))
+    }
+    fn write_json(&self, w: &mut crate::json::JsonWriter) {
+        w.number(*self);
     }
 }

@@ -5,10 +5,13 @@
 //! the trait *shapes* of real serde (`Serialize::serialize<S: Serializer>`,
 //! `Deserialize::deserialize<D: Deserializer<'de>>`) so hand-written impls
 //! compile unchanged, but the data model is a single JSON-like [`value::Value`]
-//! rather than serde's full visitor machinery. `serde_json` (also vendored)
-//! renders that `Value` to and from JSON text.
+//! rather than serde's full visitor machinery. Each trait also has a direct
+//! JSON method (`Serialize::write_json`, `Deserialize::read_json`) that
+//! skips the tree; see [`json`]. `serde_json` (also vendored) is the text
+//! front end over both.
 
 pub mod de;
+pub mod json;
 pub mod ser;
 pub mod value;
 
@@ -19,5 +22,6 @@ pub use serde_derive::{Deserialize, Serialize};
 #[doc(hidden)]
 pub mod __private {
     //! Helpers the derive macro expands against.
-    pub use crate::value::{from_value_ref, to_value, Map, Value};
+    pub use crate::json::{context, field, JsonReader, JsonWriter};
+    pub use crate::value::{from_value, to_value, Error, Map, Value};
 }

@@ -6,6 +6,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::json::{sort_keys_keep_last, JsonWriter};
 use crate::value::{to_value, Map, Number, Value};
 
 /// Mirror of `serde::ser::Error`.
@@ -44,9 +45,15 @@ pub trait Serializer: Sized {
     }
 }
 
-/// Mirror of `serde::Serialize`.
+/// Mirror of `serde::Serialize`, plus a direct JSON writer.
 pub trait Serialize {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
+
+    /// Write `self` as JSON text without building a value tree. The
+    /// default builds the tree; it must produce the same bytes as that.
+    fn write_json(&self, w: &mut JsonWriter) {
+        to_value(self).write_json(w);
+    }
 }
 
 // --- primitive impls ---
@@ -57,6 +64,10 @@ macro_rules! ser_forward {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 serializer.serialize_value(Value::from(*self))
             }
+            fn write_json(&self, w: &mut JsonWriter) {
+                // A scalar tree holds no heap data: building it is free.
+                Value::from(*self).write_json(w);
+            }
         }
     )*};
 }
@@ -66,11 +77,17 @@ impl Serialize for str {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(self)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
 }
 
 impl Serialize for String {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(self)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
@@ -78,11 +95,17 @@ impl Serialize for char {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(&self.to_string())
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self.encode_utf8(&mut [0; 4]));
+    }
 }
 
 impl Serialize for () {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_unit()
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.null();
     }
 }
 
@@ -90,11 +113,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
     }
 }
 
@@ -102,11 +131,17 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
     }
 }
 
@@ -117,11 +152,29 @@ impl<T: Serialize> Serialize for Option<T> {
             None => serializer.serialize_none(),
         }
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
+        }
+    }
+}
+
+/// Write a sequence as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(w: &mut JsonWriter, items: impl IntoIterator<Item = &'a T>) {
+    w.begin_array();
+    for t in items {
+        t.write_json(w);
+    }
+    w.end_array();
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
@@ -129,11 +182,17 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         self.as_slice().serialize(serializer)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         self.as_slice().serialize(serializer)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
@@ -141,11 +200,17 @@ impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
+    }
 }
 
 impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(Value::Array(self.iter().map(to_value).collect()))
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
@@ -163,6 +228,11 @@ macro_rules! ser_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 serializer.serialize_value(Value::Array(vec![$(to_value(&self.$n)),+]))
+            }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.begin_array();
+                $(self.$n.write_json(w);)+
+                w.end_array();
             }
         }
     )*};
@@ -189,25 +259,60 @@ fn key_string<K: Serialize>(k: &K) -> Result<String, String> {
     }
 }
 
+fn serialize_map<'a, K, V, S>(
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+    serializer: S,
+) -> Result<S::Ok, S::Error>
+where
+    K: Serialize + 'a,
+    V: Serialize + 'a,
+    S: Serializer,
+{
+    let mut m = Map::new();
+    for (k, v) in entries {
+        let k = key_string(k).map_err(S::Error::custom)?;
+        m.insert(k, to_value(v));
+    }
+    serializer.serialize_value(Value::Object(m))
+}
+
+/// Write a map as the tree would: keys in byte order, the last of equal
+/// keys kept, and `null` for a map with a key that has no string form.
+fn write_map<'a, K: Serialize + 'a, V: Serialize + 'a>(
+    w: &mut JsonWriter,
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+) {
+    let mut keyed = Vec::new();
+    for (k, v) in entries {
+        match key_string(k) {
+            Ok(key) => keyed.push((key, v)),
+            Err(_) => return w.null(),
+        }
+    }
+    sort_keys_keep_last(&mut keyed);
+    w.begin_object();
+    for (k, v) in keyed {
+        w.key(&k);
+        v.write_json(w);
+    }
+    w.end_object();
+}
+
 impl<K: Serialize, V: Serialize, H> Serialize for HashMap<K, V, H> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut m = Map::new();
-        for (k, v) in self {
-            let k = key_string(k).map_err(S::Error::custom)?;
-            m.insert(k, to_value(v));
-        }
-        serializer.serialize_value(Value::Object(m))
+        serialize_map(self.iter(), serializer)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_map(w, self.iter());
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut m = Map::new();
-        for (k, v) in self {
-            let k = key_string(k).map_err(S::Error::custom)?;
-            m.insert(k, to_value(v));
-        }
-        serializer.serialize_value(Value::Object(m))
+        serialize_map(self.iter(), serializer)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_map(w, self.iter());
     }
 }
 

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::de::{Deserialize, DeserializeOwned, Deserializer};
+use crate::json::{push_escaped, push_number, JsonReader, JsonWriter};
 use crate::ser::{Serialize, Serializer};
 
 /// Object type: sorted map keeps serialized output deterministic.
@@ -267,15 +268,15 @@ impl Value {
     /// Compact JSON rendering (no whitespace), shared with the vendored
     /// `serde_json`. Lives here so `Value` can implement `Display`.
     pub fn to_json_compact(&self) -> String {
-        let mut out = String::new();
-        write_json(self, &mut out, None, 0);
-        out
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.into_string()
     }
 
     /// Pretty JSON rendering with two-space indentation.
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
-        write_json(self, &mut out, Some("  "), 0);
+        write_pretty(self, &mut out, 0);
         out
     }
 }
@@ -286,96 +287,48 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_json(v: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
+fn write_pretty(v: &Value, out: &mut String, depth: usize) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(a) => {
-            if a.is_empty() {
-                out.push_str("[]");
-                return;
-            }
+        Value::Array(a) if !a.is_empty() => {
             out.push('[');
             for (i, item) in a.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_json(item, out, indent, depth + 1);
+                newline_indent(out, depth + 1);
+                write_pretty(item, out, depth + 1);
             }
-            newline_indent(out, indent, depth);
+            newline_indent(out, depth);
             out.push(']');
         }
-        Value::Object(m) => {
-            if m.is_empty() {
-                out.push_str("{}");
-                return;
-            }
+        Value::Object(m) if !m.is_empty() => {
             out.push('{');
             for (i, (k, item)) in m.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_json(item, out, indent, depth + 1);
+                newline_indent(out, depth + 1);
+                push_escaped(out, k);
+                out.push_str(": ");
+                write_pretty(item, out, depth + 1);
             }
-            newline_indent(out, indent, depth);
+            newline_indent(out, depth);
             out.push('}');
         }
+        Value::Array(_) => out.push_str("[]"),
+        Value::Object(_) => out.push_str("{}"),
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => push_number(out, *n),
+        Value::String(s) => push_escaped(out, s),
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
-    if let Some(pad) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str(pad);
-        }
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
-}
-
-fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::PosInt(v) => out.push_str(&v.to_string()),
-        Number::NegInt(v) => out.push_str(&v.to_string()),
-        Number::Float(f) => {
-            if f.is_finite() {
-                // Rust's shortest round-trip Display; ensure a `.0` suffix on
-                // integral floats is NOT forced (parse side accepts both).
-                out.push_str(&f.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
-    }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Error used by value-level (de)serialization.
@@ -428,11 +381,6 @@ pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Value {
     t.serialize(ValueSerializer).unwrap_or(Value::Null)
 }
 
-/// Deserialize a `T` out of a borrowed [`Value`].
-pub fn from_value_ref<T: DeserializeOwned>(v: &Value) -> Result<T, Error> {
-    T::deserialize(ValueDeserializer(v.clone()))
-}
-
 /// Deserialize a `T` out of an owned [`Value`].
 pub fn from_value<T: DeserializeOwned>(v: Value) -> Result<T, Error> {
     T::deserialize(ValueDeserializer(v))
@@ -444,11 +392,40 @@ impl Serialize for Value {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_value(self.clone())
     }
+
+    /// The compact printer: writes the subtree in place, without a clone.
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(*n),
+            Value::String(s) => w.str(s),
+            Value::Array(a) => {
+                w.begin_array();
+                for item in a {
+                    item.write_json(w);
+                }
+                w.end_array();
+            }
+            Value::Object(m) => {
+                w.begin_object();
+                for (k, item) in m {
+                    w.key(k);
+                    item.write_json(w);
+                }
+                w.end_object();
+            }
+        }
+    }
 }
 
 impl<'de> Deserialize<'de> for Value {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         deserializer.into_value()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }
 

@@ -363,234 +363,382 @@ fn capitalize(w: &str) -> String {
 }
 
 // ------------------------------------------------------------ generation
+//
+// Each derive emits two paths. The value path (`serialize`/`deserialize`)
+// builds or consumes a `Value` tree and moves every field out of it. The
+// direct path (`write_json`/`read_json`) writes and reads JSON text with
+// no tree; it writes object keys in byte order, as the tree's sorted map
+// does, so both paths produce the same bytes.
 
 const VALUE: &str = "::serde::__private::Value";
 const MAP: &str = "::serde::__private::Map";
 const TO_VALUE: &str = "::serde::__private::to_value";
-const FROM_VALUE: &str = "::serde::__private::from_value_ref";
+const FROM_VALUE: &str = "::serde::__private::from_value";
+const WRITE: &str = "::serde::Serialize::write_json";
+const READ: &str = "::serde::Deserialize::read_json";
+const OK: &str = "::core::result::Result::Ok";
+const ERR: &str = "::core::result::Result::Err";
+const SOME: &str = "::core::option::Option::Some";
+
+/// Fields paired with their wire keys, in the byte order of the keys.
+fn keyed_fields<'a>(fields: &'a [String], rule: Option<&str>) -> Vec<(String, &'a str)> {
+    let mut keyed: Vec<(String, &str)> = fields
+        .iter()
+        .map(|f| (apply_rename(f, rule), f.as_str()))
+        .collect();
+    keyed.sort();
+    keyed
+}
 
 fn de_err(item: &str, what: &str) -> String {
     format!(
-        "return ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
+        "return {ERR}(<__D::Error as ::serde::de::Error>::custom(\
          ::std::format!(\"{item}: {what}\")))"
+    )
+}
+
+/// Value path: `from_value(expr)`, returning early with `ctx` on error.
+fn from_value_or_return(expr: &str, ctx: &str) -> String {
+    format!(
+        "match {FROM_VALUE}({expr}) {{\n\
+         {OK}(v) => v,\n\
+         {ERR}(e) => return {ERR}(<__D::Error as ::serde::de::Error>::custom(\
+         ::std::format!(\"{ctx}: {{}}\", e))),\n}}"
+    )
+}
+
+/// Value path: a named-field constructor moving each field out of `__o`.
+fn value_named(ctor: &str, ctx: &str, keyed: &[(String, &str)]) -> String {
+    let inits: String = keyed
+        .iter()
+        .map(|(key, f)| {
+            let expr = format!("__o.remove({key:?}).unwrap_or({VALUE}::Null)");
+            format!(
+                "{f}: {},\n",
+                from_value_or_return(&expr, &format!("{ctx}.{f}"))
+            )
+        })
+        .collect();
+    format!("{ctor} {{\n{inits}}}")
+}
+
+/// Value path: a tuple constructor over `__v`, which must be an array of `n`.
+fn value_tuple(ctor: &str, ctx: &str, n: usize) -> String {
+    let elems: Vec<String> = (0..n)
+        .map(|i| from_value_or_return("__a.next().unwrap_or_default()", &format!("{ctx}.{i}")))
+        .collect();
+    format!(
+        "let mut __a = match __v {{\n\
+         {VALUE}::Array(a) if a.len() == {n} => a.into_iter(),\n\
+         _ => {err},\n}};\n\
+         {OK}({ctor}({elems}))",
+        err = de_err(ctx, &format!("expected array of {n}")),
+        elems = elems.join(", ")
+    )
+}
+
+/// Direct path: write the named fields as one object.
+fn write_named(keyed: &[(String, &str)], access: impl Fn(&str) -> String) -> String {
+    let mut s = String::from("__w.begin_object();\n");
+    for (key, f) in keyed {
+        s.push_str(&format!(
+            "__w.key({key:?});\n{WRITE}({}, __w);\n",
+            access(f)
+        ));
+    }
+    s.push_str("__w.end_object();\n");
+    s
+}
+
+/// Direct path: write the expressions as one array.
+fn write_tuple(elems: &[String]) -> String {
+    let mut s = String::from("__w.begin_array();\n");
+    for e in elems {
+        s.push_str(&format!("{WRITE}({e}, __w);\n"));
+    }
+    s.push_str("__w.end_array();\n");
+    s
+}
+
+/// Direct path: read an object into a named-field constructor.
+fn read_named(ctor: &str, ctx: &str, keyed: &[(String, &str)]) -> String {
+    let mut s = String::new();
+    for i in 0..keyed.len() {
+        s.push_str(&format!("let mut __f{i} = ::core::option::Option::None;\n"));
+    }
+    s.push_str(
+        "__r.begin_object()?;\n\
+         while let ::core::option::Option::Some(__k) = __r.next_key()? {\n\
+         match &*__k {\n",
+    );
+    for (i, (key, _)) in keyed.iter().enumerate() {
+        s.push_str(&format!(
+            "{key:?} => __f{i} = {SOME}(__r.read_or_skip()?),\n"
+        ));
+    }
+    s.push_str("_ => __r.skip_value()?,\n}\n}\n");
+    let inits: String = keyed
+        .iter()
+        .enumerate()
+        .map(|(i, (_, f))| format!("{f}: ::serde::__private::field(__f{i}, \"{ctx}.{f}\")?,\n"))
+        .collect();
+    s.push_str(&format!("{OK}({ctor} {{\n{inits}}})"));
+    s
+}
+
+/// Direct path: read an array of exactly `n` into a tuple constructor.
+fn read_tuple(ctor: &str, ctx: &str, n: usize) -> String {
+    let elems: Vec<String> = (0..n)
+        .map(|i| format!("__r.element(\"{ctx}.{i}\")?"))
+        .collect();
+    format!(
+        "__r.begin_array()?;\n\
+         let __x = {ctor}({});\n\
+         __r.end_array({n})?;\n\
+         {OK}(__x)",
+        elems.join(", ")
     )
 }
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.body {
+    let rule = item.rename_all.as_deref();
+    let (to_value, write) = match &item.body {
         Body::NamedStruct(fields) => {
+            let keyed = keyed_fields(fields, rule);
             let mut s = format!("let mut __m = {MAP}::new();\n");
-            for f in fields {
-                let key = apply_rename(f, item.rename_all.as_deref());
+            for (key, f) in &keyed {
                 s.push_str(&format!(
                     "__m.insert(::std::string::String::from({key:?}), {TO_VALUE}(&self.{f}));\n"
                 ));
             }
-            s.push_str(&format!(
-                "__serializer.serialize_value({VALUE}::Object(__m))"
-            ));
-            s
+            s.push_str(&format!("{VALUE}::Object(__m)"));
+            (s, write_named(&keyed, |f| format!("&self.{f}")))
         }
-        Body::TupleStruct(1) => {
-            format!("__serializer.serialize_value({TO_VALUE}(&self.0))")
-        }
+        Body::TupleStruct(1) => (
+            format!("{TO_VALUE}(&self.0)"),
+            format!("{WRITE}(&self.0, __w)"),
+        ),
         Body::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n).map(|i| format!("{TO_VALUE}(&self.{i})")).collect();
-            format!(
-                "__serializer.serialize_value({VALUE}::Array(::std::vec![{}]))",
-                elems.join(", ")
+            let elems: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            let values: Vec<String> = elems.iter().map(|e| format!("{TO_VALUE}({e})")).collect();
+            (
+                format!("{VALUE}::Array(::std::vec![{}])", values.join(", ")),
+                write_tuple(&elems),
             )
         }
-        Body::UnitStruct => format!("__serializer.serialize_value({VALUE}::Null)"),
+        Body::UnitStruct => (format!("{VALUE}::Null"), "__w.null()".to_string()),
         Body::Enum(variants) => {
-            let mut arms = String::new();
+            let mut value_arms = String::new();
+            let mut write_arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                let wire = apply_rename(vname, item.rename_all.as_deref());
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => __serializer.serialize_value(\
-                         {VALUE}::String(::std::string::String::from({wire:?}))),\n"
-                    )),
+                let wire = apply_rename(vname, rule);
+                let (pattern, content, write_content) = match &v.kind {
+                    VariantKind::Unit => {
+                        value_arms.push_str(&format!(
+                            "{name}::{vname} => {VALUE}::String(::std::string::String::from({wire:?})),\n"
+                        ));
+                        write_arms.push_str(&format!("{name}::{vname} => __w.str({wire:?}),\n"));
+                        continue;
+                    }
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let content = if *n == 1 {
-                            format!("{TO_VALUE}(__f0)")
+                        let pattern = format!("{name}::{vname}({})", binds.join(", "));
+                        if *n == 1 {
+                            (
+                                pattern,
+                                format!("{TO_VALUE}(__f0)"),
+                                format!("{WRITE}(__f0, __w);\n"),
+                            )
                         } else {
-                            let elems: Vec<String> =
+                            let values: Vec<String> =
                                 binds.iter().map(|b| format!("{TO_VALUE}({b})")).collect();
-                            format!("{VALUE}::Array(::std::vec![{}])", elems.join(", "))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vname}({binds}) => {{\n\
-                             let mut __m = {MAP}::new();\n\
-                             __m.insert(::std::string::String::from({wire:?}), {content});\n\
-                             __serializer.serialize_value({VALUE}::Object(__m))\n}}\n",
-                            binds = binds.join(", ")
-                        ));
+                            (
+                                pattern,
+                                format!("{VALUE}::Array(::std::vec![{}])", values.join(", ")),
+                                write_tuple(&binds),
+                            )
+                        }
                     }
                     VariantKind::Named(fields) => {
-                        let mut inner = format!("let mut __inner = {MAP}::new();\n");
-                        for f in fields {
+                        // Variant fields keep their Rust names on the wire.
+                        let keyed = keyed_fields(fields, None);
+                        let mut inner = format!("{{\nlet mut __inner = {MAP}::new();\n");
+                        for (key, f) in &keyed {
                             inner.push_str(&format!(
-                                "__inner.insert(::std::string::String::from({f:?}), {TO_VALUE}({f}));\n"
+                                "__inner.insert(::std::string::String::from({key:?}), {TO_VALUE}({f}));\n"
                             ));
                         }
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {fields} }} => {{\n{inner}\
-                             let mut __m = {MAP}::new();\n\
-                             __m.insert(::std::string::String::from({wire:?}), {VALUE}::Object(__inner));\n\
-                             __serializer.serialize_value({VALUE}::Object(__m))\n}}\n",
-                            fields = fields.join(", ")
-                        ));
+                        inner.push_str(&format!("{VALUE}::Object(__inner)\n}}"));
+                        (
+                            format!("{name}::{vname} {{ {} }}", fields.join(", ")),
+                            inner,
+                            write_named(&keyed, str::to_string),
+                        )
                     }
-                }
+                };
+                value_arms.push_str(&format!(
+                    "{pattern} => {{\n\
+                     let mut __m = {MAP}::new();\n\
+                     __m.insert(::std::string::String::from({wire:?}), {content});\n\
+                     {VALUE}::Object(__m)\n}}\n"
+                ));
+                write_arms.push_str(&format!(
+                    "{pattern} => {{\n\
+                     __w.begin_object();\n\
+                     __w.key({wire:?});\n\
+                     {write_content}\
+                     __w.end_object();\n}}\n"
+                ));
             }
-            format!("match self {{\n{arms}}}")
+            (
+                format!("match self {{\n{value_arms}}}"),
+                format!("match self {{\n{write_arms}}}"),
+            )
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S) \
-         -> ::core::result::Result<__S::Ok, __S::Error> {{\n{body}\n}}\n}}\n"
+         -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
+         __serializer.serialize_value({{\n{to_value}\n}})\n}}\n\
+         fn write_json(&self, __w: &mut ::serde::__private::JsonWriter) {{\n{write}\n}}\n}}\n"
     )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.body {
+    let rule = item.rename_all.as_deref();
+    let (from_value, read) = match &item.body {
         Body::NamedStruct(fields) => {
-            let mut inits = String::new();
-            for f in fields {
-                let key = apply_rename(f, item.rename_all.as_deref());
-                inits.push_str(&format!(
-                    "{f}: match {FROM_VALUE}(__o.get({key:?}).unwrap_or(&{VALUE}::Null)) {{\n\
-                     ::core::result::Result::Ok(v) => v,\n\
-                     ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                     <__D::Error as ::serde::de::Error>::custom(\
-                     ::std::format!(\"{name}.{f}: {{}}\", e))),\n}},\n"
-                ));
-            }
-            format!(
-                "let __o = match &__v {{\n\
-                 {VALUE}::Object(m) => m,\n\
-                 _ => {err},\n}};\n\
-                 ::core::result::Result::Ok({name} {{\n{inits}}})",
-                err = de_err(name, "expected object")
+            let keyed = keyed_fields(fields, rule);
+            (
+                format!(
+                    "let mut __o = match __v {{\n\
+                     {VALUE}::Object(m) => m,\n\
+                     _ => {err},\n}};\n\
+                     {OK}({ctor})",
+                    err = de_err(name, "expected object"),
+                    ctor = value_named(name, name, &keyed),
+                ),
+                read_named(name, name, &keyed),
             )
         }
-        Body::TupleStruct(1) => format!(
-            "match {FROM_VALUE}(&__v) {{\n\
-             ::core::result::Result::Ok(v) => ::core::result::Result::Ok({name}(v)),\n\
-             ::core::result::Result::Err(e) => ::core::result::Result::Err(\
-             <__D::Error as ::serde::de::Error>::custom(\
-             ::std::format!(\"{name}: {{}}\", e))),\n}}"
+        Body::TupleStruct(1) => (
+            format!("{OK}({name}({}))", from_value_or_return("__v", name)),
+            format!("{OK}({name}(::serde::__private::context({READ}(__r), {name:?})?))"),
         ),
-        Body::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "match {FROM_VALUE}(&__a[{i}]) {{\n\
-                         ::core::result::Result::Ok(v) => v,\n\
-                         ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                         <__D::Error as ::serde::de::Error>::custom(\
-                         ::std::format!(\"{name}.{i}: {{}}\", e))),\n}}"
-                    )
-                })
-                .collect();
-            format!(
-                "let __a = match &__v {{\n\
-                 {VALUE}::Array(a) if a.len() == {n} => a,\n\
-                 _ => {err},\n}};\n\
-                 ::core::result::Result::Ok({name}({elems}))",
-                err = de_err(name, &format!("expected array of {n}")),
-                elems = elems.join(", ")
-            )
-        }
-        Body::UnitStruct => format!("::core::result::Result::Ok({name})"),
+        Body::TupleStruct(n) => (value_tuple(name, name, *n), read_tuple(name, name, *n)),
+        Body::UnitStruct => (
+            format!("let _ = __v;\n{OK}({name})"),
+            format!("__r.skip_value()?;\n{OK}({name})"),
+        ),
         Body::Enum(variants) => {
             let mut unit_arms = String::new();
-            let mut content_arms = String::new();
+            let mut value_arms = String::new();
+            let mut read_arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                let wire = apply_rename(vname, item.rename_all.as_deref());
+                let wire = apply_rename(vname, rule);
+                let ctor = format!("{name}::{vname}");
                 match &v.kind {
                     VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{wire:?} => ::core::result::Result::Ok({name}::{vname}),\n"
-                        ));
-                        // Also accept the `{"Variant": null}` object form.
-                        content_arms.push_str(&format!(
-                            "{wire:?} => ::core::result::Result::Ok({name}::{vname}),\n"
+                        unit_arms.push_str(&format!("{wire:?} => {OK}({ctor}),\n"));
+                        // The `{"Variant": <anything>}` object form is accepted too.
+                        value_arms.push_str(&format!("{wire:?} => {OK}({ctor}),\n"));
+                        read_arms.push_str(&format!(
+                            "{wire:?} => {{\n__r.skip_value()?;\n{OK}({ctor})\n}}\n"
                         ));
                     }
-                    VariantKind::Tuple(1) => content_arms.push_str(&format!(
-                        "{wire:?} => match {FROM_VALUE}(__content) {{\n\
-                         ::core::result::Result::Ok(v) => ::core::result::Result::Ok({name}::{vname}(v)),\n\
-                         ::core::result::Result::Err(e) => ::core::result::Result::Err(\
-                         <__D::Error as ::serde::de::Error>::custom(\
-                         ::std::format!(\"{name}::{vname}: {{}}\", e))),\n}},\n"
-                    )),
+                    VariantKind::Tuple(1) => {
+                        value_arms.push_str(&format!(
+                            "{wire:?} => {OK}({ctor}({})),\n",
+                            from_value_or_return("__v", &ctor)
+                        ));
+                        read_arms.push_str(&format!(
+                            "{wire:?} => __r.read_or_skip_with(|__r| {OK}({ctor}(\
+                             ::serde::__private::context({READ}(__r), {ctor:?})?)))?,\n"
+                        ));
+                    }
                     VariantKind::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|i| {
-                                format!(
-                                    "match {FROM_VALUE}(&__a[{i}]) {{\n\
-                                     ::core::result::Result::Ok(v) => v,\n\
-                                     ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                                     <__D::Error as ::serde::de::Error>::custom(\
-                                     ::std::format!(\"{name}::{vname}.{i}: {{}}\", e))),\n}}"
-                                )
-                            })
-                            .collect();
-                        content_arms.push_str(&format!(
-                            "{wire:?} => {{\n\
-                             let __a = match __content {{\n\
-                             {VALUE}::Array(a) if a.len() == {n} => a,\n\
-                             _ => {err},\n}};\n\
-                             ::core::result::Result::Ok({name}::{vname}({elems}))\n}},\n",
-                            err = de_err(&format!("{name}::{vname}"), &format!("expected array of {n}")),
-                            elems = elems.join(", ")
+                        value_arms.push_str(&format!(
+                            "{wire:?} => {{\n{}\n}}\n",
+                            value_tuple(&ctor, &ctor, *n)
+                        ));
+                        read_arms.push_str(&format!(
+                            "{wire:?} => __r.read_or_skip_with(|__r| {{\n{}\n}})?,\n",
+                            read_tuple(&ctor, &ctor, *n)
                         ));
                     }
                     VariantKind::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: match {FROM_VALUE}(__o.get({f:?}).unwrap_or(&{VALUE}::Null)) {{\n\
-                                 ::core::result::Result::Ok(v) => v,\n\
-                                 ::core::result::Result::Err(e) => return ::core::result::Result::Err(\
-                                 <__D::Error as ::serde::de::Error>::custom(\
-                                 ::std::format!(\"{name}::{vname}.{f}: {{}}\", e))),\n}},\n"
-                            ));
-                        }
-                        content_arms.push_str(&format!(
+                        let keyed = keyed_fields(fields, None);
+                        value_arms.push_str(&format!(
                             "{wire:?} => {{\n\
-                             let __o = match __content {{\n\
+                             let mut __o = match __v {{\n\
                              {VALUE}::Object(m) => m,\n\
                              _ => {err},\n}};\n\
-                             ::core::result::Result::Ok({name}::{vname} {{\n{inits}}})\n}},\n",
-                            err = de_err(&format!("{name}::{vname}"), "expected object")
+                             {OK}({})\n}}\n",
+                            value_named(&ctor, &ctor, &keyed),
+                            err = de_err(&ctor, "expected object"),
+                        ));
+                        read_arms.push_str(&format!(
+                            "{wire:?} => __r.read_or_skip_with(|__r| {{\n{}\n}})?,\n",
+                            read_named(&ctor, &ctor, &keyed)
                         ));
                     }
                 }
             }
-            format!(
-                "match &__v {{\n\
-                 {VALUE}::String(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
-                 ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}},\n\
-                 {VALUE}::Object(__m) => {{\n\
-                 let (__tag, __content) = match __m.iter().next() {{\n\
-                 ::core::option::Option::Some((k, v)) => (k.as_str(), v),\n\
-                 ::core::option::Option::None => {err_empty},\n}};\n\
-                 match __tag {{\n{content_arms}\
-                 __other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
-                 ::std::format!(\"{name}: unknown variant {{:?}}\", __other))),\n}}\n}},\n\
-                 _ => {err_shape},\n}}",
-                err_empty = de_err(name, "empty enum object"),
-                err_shape = de_err(name, "expected string or single-key object"),
+            let unknown =
+                |var: &str| format!("::std::format!(\"{name}: unknown variant {{:?}}\", {var})");
+            (
+                format!(
+                    "match __v {{\n\
+                     {VALUE}::String(__s) => match __s.as_str() {{\n{unit_arms}\
+                     __other => {ERR}(<__D::Error as ::serde::de::Error>::custom({unknown_s})),\n}},\n\
+                     {VALUE}::Object(__m) => {{\n\
+                     if __m.len() != 1 {{\n\
+                     {err_keys}\n}}\n\
+                     let (__tag, __v) = match __m.into_iter().next() {{\n\
+                     {SOME}(kv) => kv,\n\
+                     ::core::option::Option::None => {err_shape},\n}};\n\
+                     match __tag.as_str() {{\n{value_arms}\
+                     __other => {ERR}(<__D::Error as ::serde::de::Error>::custom({unknown_o})),\n}}\n}},\n\
+                     _ => {err_shape},\n}}",
+                    unknown_s = unknown("__other"),
+                    unknown_o = unknown("__other"),
+                    err_keys = format!(
+                        "return {ERR}(<__D::Error as ::serde::de::Error>::custom(\
+                         ::std::format!(\"{name}: expected a single-key object, got {{}} keys\", __m.len())))"
+                    ),
+                    err_shape = de_err(name, "expected string or single-key object"),
+                ),
+                format!(
+                    "match __r.peek_token() {{\n\
+                     {SOME}(b'\"') => {{\n\
+                     let __s = __r.str()?;\n\
+                     match &*__s {{\n{unit_arms}\
+                     __other => {ERR}(__r.error({unknown_s})),\n}}\n}}\n\
+                     {SOME}(b'{{') => {{\n\
+                     __r.begin_object()?;\n\
+                     let mut __tag = ::core::option::Option::None;\n\
+                     let mut __v = ::core::option::Option::None;\n\
+                     // A repeated tag replaces the content; any other key is an error.\n\
+                     while let {SOME}(__k) = __r.next_key()? {{\n\
+                     if let {SOME}(__t) = &__tag {{\n\
+                     if *__t != __k {{\n\
+                     return {ERR}(__r.error(::std::format!(\
+                     \"{name}: expected a single-key object, got keys {{:?}} and {{:?}}\", __t, __k)));\n\
+                     }}\n}}\n\
+                     __v = {SOME}(match &*__k {{\n{read_arms}\
+                     __other => return {ERR}(__r.error({unknown_s})),\n}});\n\
+                     __tag = {SOME}(__k);\n}}\n\
+                     match __v {{\n\
+                     {SOME}(v) => v,\n\
+                     ::core::option::Option::None => {ERR}(__r.error(\"{name}: empty enum object\")),\n}}\n}}\n\
+                     _ => {ERR}(__r.expected(\"{name} (string or single-key object)\")),\n}}",
+                    unknown_s = unknown("__other"),
+                ),
             )
         }
     };
@@ -598,6 +746,8 @@ fn gen_deserialize(item: &Item) -> String {
         "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
          fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
          -> ::core::result::Result<Self, __D::Error> {{\n\
-         let __v = __deserializer.into_value()?;\n{body}\n}}\n}}\n"
+         let __v = __deserializer.into_value()?;\n{from_value}\n}}\n\
+         fn read_json(__r: &mut ::serde::__private::JsonReader<'_>) \
+         -> ::core::result::Result<Self, ::serde::__private::Error> {{\n{read}\n}}\n}}\n"
     )
 }

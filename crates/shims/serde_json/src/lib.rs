@@ -1,18 +1,20 @@
-//! Offline stand-in for `serde_json`: renders the vendored serde facade's
-//! [`Value`] tree to and from JSON text. Covers the API subset this
-//! workspace uses: `to_string`/`to_string_pretty`/`to_vec`/`to_value`,
+//! Offline stand-in for `serde_json`: the JSON text front end of the
+//! vendored serde facade. Covers the API subset this workspace uses:
+//! `to_string`/`to_string_pretty`/`to_vec`/`to_value`,
 //! `from_str`/`from_slice`/`from_value`, `Value`, and the `json!` macro.
+//!
+//! `to_*` and `from_*` go straight between typed values and text through
+//! the facade's direct codec (`serde::json`); only `to_string_pretty`,
+//! `to_value` and `from_value` build a [`Value`] tree.
 //!
 //! Float output uses Rust's shortest round-trip `Display`, so an
 //! f64 → JSON → f64 round trip is bit-exact — a property the checkpoint
 //! subsystem's "identical trailing trajectory" guarantee leans on.
 
-mod parse;
-mod print;
-
 use std::fmt;
 
 use serde::de::DeserializeOwned;
+use serde::json::{JsonReader, JsonWriter};
 use serde::Serialize;
 
 pub use serde::value::{Map, Number, Value};
@@ -46,11 +48,13 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T> {
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(print::compact(&serde::value::to_value(value)))
+    let mut w = JsonWriter::new();
+    value.write_json(&mut w);
+    Ok(w.into_string())
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(print::pretty(&serde::value::to_value(value)))
+    Ok(serde::value::to_value(value).to_json_pretty())
 }
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
@@ -58,8 +62,10 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 }
 
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
-    let v = parse::parse(s)?;
-    serde::value::from_value(v).map_err(Error::from)
+    let mut r = JsonReader::new(s);
+    let v = T::read_json(&mut r)?;
+    r.end()?;
+    Ok(v)
 }
 
 pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {

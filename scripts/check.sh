@@ -63,6 +63,9 @@ else
     echo "==> trace-determinism smoke (same-seed byte-identical telemetry)"
     cargo test -q --test telemetry_trace same_seed
 
+    echo "==> codec equivalence (direct JSON path vs the Value tree)"
+    cargo test -q --test codec_equivalence
+
     echo "==> portal smoke (wire API, crash recovery, tenant isolation)"
     cargo test -q --test portal_service
 
