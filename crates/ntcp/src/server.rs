@@ -22,6 +22,9 @@ use crate::transaction::{Transaction, TxState};
 /// in-flight retransmittable requests; MOST used 3 requests per step).
 const DEDUP_CAPACITY: usize = 4096;
 
+/// Name prefix of the per-transaction service data elements.
+const SDE_PREFIX: &str = "transaction/";
+
 /// An NTCP server for one experiment site.
 pub struct NtcpServer {
     site: String,
@@ -32,7 +35,11 @@ pub struct NtcpServer {
     plugin: Box<dyn ControlPlugin>,
     clock: Arc<SimClock>,
     transactions: BTreeMap<String, Transaction>,
+    // `transaction/<name>` elements are touched on every state change and
+    // rendered from `transactions` only when read (see `GridService::sde`).
     sde: ServiceData,
+    // Reused buffer for the element name, so a touch allocates nothing.
+    sde_name: String,
     dedup: DedupCache<u64, Result<Value, ServiceFault>>,
     executions: u64,
     telemetry: Telemetry,
@@ -61,6 +68,7 @@ impl NtcpServer {
             clock,
             transactions: BTreeMap::new(),
             sde,
+            sde_name: String::new(),
             dedup: DedupCache::new(DEDUP_CAPACITY),
             executions: 0,
             telemetry: Telemetry::disabled(),
@@ -86,10 +94,16 @@ impl NtcpServer {
         self.policy.emergency_stop = engaged;
     }
 
+    /// Record a change to transaction `name` in its SDE. Every mutation of
+    /// a transaction is followed by a publish, so a value rendered later
+    /// from `self.transactions` equals the one an eager render would have
+    /// produced here.
     fn publish(&mut self, name: &str, now: SimTime) {
         if let Some(tx) = self.transactions.get(name) {
-            self.sde
-                .set(format!("transaction/{name}"), tx.to_sde_value(), now);
+            self.sde_name.clear();
+            self.sde_name.push_str(SDE_PREFIX);
+            self.sde_name.push_str(name);
+            self.sde.touch(&self.sde_name, now, || tx.to_sde_value());
         }
     }
 
@@ -186,10 +200,11 @@ impl NtcpServer {
                     )
                 })?;
                 tx.results = Some(out.results.clone());
-                tx.transition(TxState::Completed, done_at).map_err(|e| {
+                let moved = tx.transition(TxState::Completed, done_at);
+                self.publish(&req.transaction, done_at);
+                moved.map_err(|e| {
                     ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
                 })?;
-                self.publish(&req.transaction, done_at);
                 Ok(json!(ExecuteResponse {
                     results: out.results,
                     duration: out.duration,
@@ -203,10 +218,11 @@ impl NtcpServer {
                     )
                 })?;
                 tx.reason = Some(e.message.clone());
-                tx.transition(TxState::Failed, ctx.now).map_err(|e| {
+                let moved = tx.transition(TxState::Failed, ctx.now);
+                self.publish(&req.transaction, ctx.now);
+                moved.map_err(|e| {
                     ServiceFault::permanent("Internal", format!("{}: {e}", req.transaction))
                 })?;
-                self.publish(&req.transaction, ctx.now);
                 Err(if e.retryable {
                     ServiceFault::transient("ExecutionFailed", e.message)
                 } else {
@@ -231,10 +247,12 @@ impl NtcpServer {
             })?;
             tx.actions.clone()
         };
+        // Published before the plugin runs: the transaction is Cancelled
+        // whether or not the backend's cancel succeeds.
+        self.publish(&req.transaction, ctx.now);
         self.plugin
             .cancel(&actions)
             .map_err(|e| ServiceFault::permanent("CancelFailed", e.message))?;
-        self.publish(&req.transaction, ctx.now);
         Ok(json!({ "cancelled": req.transaction }))
     }
 
@@ -297,23 +315,27 @@ impl NtcpServer {
             serde_json::from_value(snap["transactions"].clone()).map_err(|e| {
                 ServiceFault::permanent("BadSnapshot", format!("transactions: {e}"))
             })?;
-        let dedup_raw = snap["dedup"].as_array().cloned().unwrap_or_default();
+        let bad = |what: &str| ServiceFault::permanent("BadSnapshot", what.to_string());
+        // A missing cache is refused, not read as an empty one: resuming
+        // with no memory of answered requests would re-execute their
+        // retransmissions.
+        let dedup_raw = snap["dedup"]
+            .as_array()
+            .ok_or_else(|| bad("dedup: missing or not an array"))?;
         let mut entries = Vec::with_capacity(dedup_raw.len());
-        for pair in &dedup_raw {
-            let key = pair[0]
-                .as_u64()
-                .ok_or_else(|| ServiceFault::permanent("BadSnapshot", "dedup key"))?;
-            let value = if pair[1]["fault"].is_null() {
-                Ok(pair[1]["ok"].clone())
-            } else {
-                Err(
-                    serde_json::from_value::<ServiceFault>(pair[1]["fault"].clone()).map_err(
-                        |e| ServiceFault::permanent("BadSnapshot", format!("dedup fault: {e}")),
-                    )?,
-                )
+        for pair in dedup_raw {
+            let key = pair[0].as_u64().ok_or_else(|| bad("dedup key"))?;
+            let value = match (pair[1].get("ok"), pair[1].get("fault")) {
+                (Some(ok), None) => Ok(ok.clone()),
+                (None, Some(fault)) => Err(serde_json::from_value::<ServiceFault>(fault.clone())
+                    .map_err(|e| bad(&format!("dedup fault: {e}")))?),
+                _ => return Err(bad("dedup entry: expected exactly one of ok / fault")),
             };
             entries.push((key, value));
         }
+        let executions = snap["executions"]
+            .as_u64()
+            .ok_or_else(|| bad("executions: missing or not a count"))?;
         match &snap["pluginState"] {
             Value::Null => {
                 if self.plugin.state().is_some() {
@@ -333,7 +355,14 @@ impl NtcpServer {
         }
         self.transactions = transactions;
         self.dedup = DedupCache::from_entries(DEDUP_CAPACITY, entries);
-        self.executions = snap["executions"].as_u64().unwrap_or(0);
+        self.executions = executions;
+        // An in-place restore drops the elements of transactions the
+        // snapshot does not hold; the rest are republished below.
+        let kept = &self.transactions;
+        self.sde.retain(|name| {
+            name.strip_prefix(SDE_PREFIX)
+                .is_none_or(|tx| kept.contains_key(tx))
+        });
         let names: Vec<String> = self.transactions.keys().cloned().collect();
         for name in names {
             self.publish(&name, now);
@@ -459,7 +488,16 @@ impl GridService for NtcpServer {
         result
     }
 
+    /// The container's only way to the service data (`ogsi:query`,
+    /// `ogsi:mostRecentlyChanged`): transaction elements touched since the
+    /// last read are rendered here.
     fn sde(&mut self) -> Option<&mut ServiceData> {
+        let transactions = &self.transactions;
+        self.sde.render_stale(|name| {
+            name.strip_prefix(SDE_PREFIX)
+                .and_then(|tx| transactions.get(tx))
+                .map_or(Value::Null, Transaction::to_sde_value)
+        });
         Some(&mut self.sde)
     }
 }
@@ -916,6 +954,100 @@ mod tests {
         }
         let err = s.restore_snapshot(&snap, SimTime::ZERO).unwrap_err();
         assert_eq!(err.code, "BadSnapshot");
+    }
+
+    fn restore_err(edit: impl FnOnce(&mut serde_json::Map)) -> ServiceFault {
+        let mut s = server();
+        s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
+            .unwrap();
+        let mut snap = s.snapshot();
+        if let Value::Object(m) = &mut snap {
+            edit(m);
+        }
+        server().restore_snapshot(&snap, SimTime::ZERO).unwrap_err()
+    }
+
+    #[test]
+    fn restore_rejects_missing_or_malformed_dedup() {
+        for dedup in [None, Some(Value::Null), Some(json!({})), Some(json!("[]"))] {
+            let err = restore_err(|m| match &dedup {
+                Some(v) => drop(m.insert("dedup".into(), v.clone())),
+                None => drop(m.remove("dedup")),
+            });
+            assert_eq!(err.code, "BadSnapshot", "dedup {dedup:?}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_missing_executions() {
+        let err = restore_err(|m| drop(m.remove("executions")));
+        assert_eq!(err.code, "BadSnapshot");
+        let err = restore_err(|m| drop(m.insert("executions".into(), json!(-1))));
+        assert_eq!(err.code, "BadSnapshot");
+    }
+
+    #[test]
+    fn restore_rejects_dedup_entry_without_one_outcome() {
+        for outcome in [
+            json!({}),
+            json!(null),
+            json!({"okay": 1}),
+            json!({"ok": 1, "fault": ServiceFault::permanent("X", "y")}),
+        ] {
+            let err = restore_err(|m| drop(m.insert("dedup".into(), json!([[7, outcome]]))));
+            assert_eq!(err.code, "BadSnapshot", "outcome {outcome}");
+        }
+        // Each well-formed shape is accepted, a null reply included.
+        let mut s = server();
+        let snap = s.snapshot();
+        for outcome in [
+            json!({"ok": null}),
+            json!({"fault": ServiceFault::permanent("X", "y")}),
+        ] {
+            let mut snap = snap.clone();
+            if let Value::Object(m) = &mut snap {
+                m.insert("dedup".into(), json!([[7, outcome]]));
+            }
+            s.restore_snapshot(&snap, SimTime::ZERO).unwrap();
+        }
+    }
+
+    #[test]
+    fn in_place_restore_drops_elements_of_unsnapshotted_transactions() {
+        let mut s = server();
+        s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
+            .unwrap();
+        let snap = s.snapshot();
+        s.handle(&ctx(2), "propose", &propose_body("t2", 0.01, 1000.0))
+            .unwrap();
+        s.restore_snapshot(&snap, SimTime::from_secs(2)).unwrap();
+        let names: Vec<String> = s
+            .sde()
+            .unwrap()
+            .query("*")
+            .iter()
+            .map(|el| el.name.clone())
+            .collect();
+        assert_eq!(names, ["serverInfo", "transaction/t1"]);
+        let err = s
+            .handle(&ctx(3), "getTransaction", &json!({"transaction": "t2"}))
+            .unwrap_err();
+        assert_eq!(err.code, "NoSuchTransaction");
+    }
+
+    #[test]
+    fn transaction_elements_render_the_current_state_on_read() {
+        let mut s = server();
+        s.handle(&ctx(1), "propose", &propose_body("t1", 0.01, 1000.0))
+            .unwrap();
+        s.handle(&ctx(2), "execute", &json!({"transaction": "t1"}))
+            .unwrap();
+        let got = s
+            .handle(&ctx(3), "getTransaction", &json!({"transaction": "t1"}))
+            .unwrap();
+        let el = s.sde().unwrap().get("transaction/t1").unwrap();
+        assert_eq!(el.value, got);
+        assert_eq!(el.version, 3, "accepted, executing, completed");
     }
 
     #[test]

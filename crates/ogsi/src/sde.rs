@@ -50,11 +50,25 @@ pub struct SdeChange {
 /// Not internally synchronized: the owning service (or its container thread)
 /// is the single writer; remote reads arrive via service operations on the
 /// same thread.
+///
+/// Elements are either *set* (value supplied now) or *touched* (value
+/// rendered on demand). A touch does all the bookkeeping of a set —
+/// version, timestamps, most-recently-changed — but renders the value only
+/// if a subscriber is watching the element; otherwise the element is
+/// marked stale and its value is filled in by [`ServiceData::render_stale`],
+/// which the owning service calls before handing the set to a reader.
 #[derive(Debug, Default)]
 pub struct ServiceData {
-    elements: BTreeMap<String, ServiceDataElement>,
+    elements: BTreeMap<String, Slot>,
     subscribers: Vec<(String, Sender<SdeChange>)>,
     most_recently_changed: Option<String>,
+}
+
+#[derive(Debug)]
+struct Slot {
+    element: ServiceDataElement,
+    // `element.value` predates the element's latest change.
+    stale: bool,
 }
 
 impl ServiceData {
@@ -65,64 +79,99 @@ impl ServiceData {
 
     /// Create or update an element, notifying subscribers.
     pub fn set(&mut self, name: impl Into<String>, value: Value, now: SimTime) {
-        let name = name.into();
-        let version;
-        match self.elements.get_mut(&name) {
-            Some(el) => {
-                el.value = value.clone();
-                el.modified_at = now;
-                el.version += 1;
-                version = el.version;
+        self.change(&name.into(), now, Some(value));
+    }
+
+    /// Record a change to an element whose value `render` produces.
+    ///
+    /// Version, timestamps and most-recently-changed update now. `render`
+    /// runs now only if a subscriber's pattern matches `name` (subscribers
+    /// see every intermediate value); otherwise the element goes stale until
+    /// the next [`ServiceData::render_stale`].
+    pub fn touch(&mut self, name: &str, now: SimTime, render: impl FnOnce() -> Value) {
+        let watched = self.subscribers.iter().any(|(p, _)| name_matches(p, name));
+        self.change(name, now, watched.then(render));
+    }
+
+    /// Render every stale element's value with `render(name)`. Call before
+    /// exposing the set to readers.
+    pub fn render_stale(&mut self, mut render: impl FnMut(&str) -> Value) {
+        for slot in self.elements.values_mut().filter(|s| s.stale) {
+            slot.element.value = render(&slot.element.name);
+            slot.stale = false;
+        }
+    }
+
+    fn change(&mut self, name: &str, now: SimTime, value: Option<Value>) {
+        let version = self.elements.get(name).map_or(1, |s| s.element.version + 1);
+        if let Some(value) = &value {
+            self.subscribers.retain(|(pattern, tx)| {
+                !name_matches(pattern, name)
+                    || tx
+                        .send(SdeChange {
+                            name: name.to_string(),
+                            value: value.clone(),
+                            at: now,
+                            version,
+                        })
+                        .is_ok()
+            });
+        }
+        let stale = value.is_none();
+        let value = value.unwrap_or_default();
+        match self.elements.get_mut(name) {
+            Some(slot) => {
+                slot.element.value = value;
+                slot.element.modified_at = now;
+                slot.element.version = version;
+                slot.stale = stale;
             }
             None => {
                 self.elements.insert(
-                    name.clone(),
-                    ServiceDataElement {
-                        name: name.clone(),
-                        value: value.clone(),
-                        created_at: now,
-                        modified_at: now,
-                        version: 1,
+                    name.to_string(),
+                    Slot {
+                        element: ServiceDataElement {
+                            name: name.to_string(),
+                            value,
+                            created_at: now,
+                            modified_at: now,
+                            version,
+                        },
+                        stale,
                     },
                 );
-                version = 1;
             }
         }
-        self.most_recently_changed = Some(name.clone());
-        self.subscribers.retain(|(pattern, tx)| {
-            if name_matches(pattern, &name) {
-                tx.send(SdeChange {
-                    name: name.clone(),
-                    value: value.clone(),
-                    at: now,
-                    version,
-                })
-                .is_ok()
-            } else {
-                true
-            }
-        });
+        // Reuse the buffer: a run of changes to one element allocates nothing.
+        let latest = self.most_recently_changed.get_or_insert_with(String::new);
+        latest.clear();
+        latest.push_str(name);
     }
 
-    /// Inspect one element.
+    /// Inspect one element. A stale element's value is only current after
+    /// [`ServiceData::render_stale`].
     pub fn get(&self, name: &str) -> Option<&ServiceDataElement> {
-        self.elements.get(name)
+        self.elements.get(name).map(|s| &s.element)
     }
 
     /// Remove an element (e.g. a destroyed transaction).
     pub fn remove(&mut self, name: &str) -> Option<ServiceDataElement> {
-        self.elements.remove(name)
+        self.elements.remove(name).map(|s| s.element)
+    }
+
+    /// Keep only the elements for which `keep(name)` holds.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.elements.retain(|name, _| keep(name));
     }
 
     /// Names of all elements matching a pattern (`*` suffix wildcard).
     pub fn query(&self, pattern: &str) -> Vec<&ServiceDataElement> {
-        let mut out: Vec<&ServiceDataElement> = self
-            .elements
+        // The map is ordered by name, so the result is too.
+        self.elements
             .values()
+            .map(|s| &s.element)
             .filter(|el| name_matches(pattern, &el.name))
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+            .collect()
     }
 
     /// The element changed most recently, if any — the whole-server
@@ -130,7 +179,7 @@ impl ServiceData {
     pub fn most_recently_changed(&self) -> Option<&ServiceDataElement> {
         self.most_recently_changed
             .as_deref()
-            .and_then(|n| self.elements.get(n))
+            .and_then(|n| self.get(n))
     }
 
     /// Subscribe to changes of elements matching `pattern`
@@ -243,6 +292,87 @@ mod tests {
         sd.set("a", json!(1), SimTime::ZERO);
         sd.set("a", json!(2), SimTime::ZERO);
         assert_eq!(sd.get("a").unwrap().version, 2);
+    }
+
+    #[test]
+    fn touch_defers_render_until_read() {
+        let renders = std::cell::Cell::new(0);
+        let render = || {
+            renders.set(renders.get() + 1);
+            json!({"state": "Completed"})
+        };
+        let mut sd = ServiceData::new();
+        sd.touch("transaction/t1", SimTime::from_secs(1), render);
+        sd.touch("transaction/t1", SimTime::from_secs(4), render);
+        assert_eq!(renders.get(), 0, "nobody watching, nothing rendered");
+        // Bookkeeping is current before the render.
+        let el = sd.get("transaction/t1").unwrap();
+        assert_eq!(
+            (el.version, el.created_at, el.modified_at),
+            (2, SimTime::from_secs(1), SimTime::from_secs(4))
+        );
+        assert_eq!(sd.most_recently_changed().unwrap().name, "transaction/t1");
+
+        sd.render_stale(|name| {
+            assert_eq!(name, "transaction/t1");
+            render()
+        });
+        assert_eq!(renders.get(), 1, "one render however many touches");
+        assert_eq!(
+            sd.get("transaction/t1").unwrap().value["state"],
+            "Completed"
+        );
+        sd.render_stale(|_| render());
+        assert_eq!(renders.get(), 1, "nothing stale, nothing rendered");
+    }
+
+    #[test]
+    fn touch_renders_every_change_for_a_subscriber() {
+        let mut sd = ServiceData::new();
+        let rx = sd.subscribe("transaction/*");
+        for (i, state) in ["Accepted", "Executing", "Completed"].iter().enumerate() {
+            sd.touch(
+                "transaction/t1",
+                SimTime::from_secs(i as u64),
+                || json!({ "state": state }),
+            );
+        }
+        sd.touch("other", SimTime::ZERO, || json!(0));
+        let seen: Vec<(u64, Value)> = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|c| (c.version, c.value["state"].clone()))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (1, json!("Accepted")),
+                (2, json!("Executing")),
+                (3, json!("Completed")),
+            ]
+        );
+        // The watched element is already current; only `other` is stale.
+        let mut rendered = Vec::new();
+        sd.render_stale(|name| {
+            rendered.push(name.to_string());
+            json!(0)
+        });
+        assert_eq!(rendered, ["other"]);
+    }
+
+    #[test]
+    fn removed_stale_elements_are_not_rendered() {
+        let mut sd = ServiceData::new();
+        for name in ["a", "b", "c"] {
+            sd.touch(name, SimTime::ZERO, || json!(name));
+        }
+        sd.remove("a");
+        sd.retain(|name| name != "b");
+        let mut rendered = Vec::new();
+        sd.render_stale(|name| {
+            rendered.push(name.to_string());
+            json!(name)
+        });
+        assert_eq!(rendered, ["c"]);
+        assert_eq!(sd.len(), 1);
     }
 
     #[test]

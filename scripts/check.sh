@@ -66,6 +66,9 @@ else
     echo "==> codec equivalence (direct JSON path vs the Value tree)"
     cargo test -q --test codec_equivalence
 
+    echo "==> service-data equivalence (rendered on read vs eager publication)"
+    cargo test -q --test sde_equivalence
+
     echo "==> portal smoke (wire API, crash recovery, tenant isolation)"
     cargo test -q --test portal_service
 
